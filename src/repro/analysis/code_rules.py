@@ -716,7 +716,7 @@ def _metric_name(rule, context: CodeContext):
 def _span_discipline(rule, context: CodeContext):
     """Observability: spans are opened with ``with telemetry.span(...)``
     — a span entered by hand leaks open on any exception path and
-    corrupts the tracer's thread-local stack."""
+    corrupts the tracer's span stack."""
     for module, call, resolved in context.calls():
         if not _matches(resolved, ("telemetry.span",)):
             continue

@@ -13,6 +13,12 @@ fingerprint), and fresh scores are written back, so a later process
 over the same corpus warm-starts.  The unordered-pair canonicalization
 of :meth:`CachedRunner.cache_key` is applied *before* either lookup —
 L1 and L2 always agree on the key of a symmetric pair.
+
+The facade attaches the L2 only to measures without a batch kernel
+(see :func:`repro.core.kernel.batchable`).  At 20k concepts one sqlite
+read costs about 24 µs, while the kernel scores a pair in about 7 µs,
+so persisting the nine kernel measures would only slow them down; the
+bulk lookup/store path the kernel uses is therefore L1-only.
 """
 
 from __future__ import annotations
@@ -166,21 +172,22 @@ class CachedRunner(MeasureRunner):
         return value
 
     def bulk_lookup(self, pairs):
-        """Serve a whole batch of pairs from the L1/L2 tiers at once.
+        """Serve a whole batch of pairs from the L1 tier at once.
 
         Returns ``(values, pending)``: ``values`` has one slot per
-        input pair (``None`` where no tier had it), and ``pending``
+        input pair (``None`` where the L1 missed), and ``pending``
         maps each *distinct* missing cache key to the positions it
         must fill.  The caller computes the pending keys (one kernel
         batch), then hands ``(key, value)`` pairs to
         :meth:`bulk_store`.
 
         Counter bookkeeping is per-pair-equivalent: every pair counts
-        exactly one L1 hit or miss, and every distinct missing key
-        exactly one L2 hit or miss — duplicate occurrences of a
+        exactly one L1 hit or miss, and duplicate occurrences of a
         missing key count as L1 *hits*, just as the sequential
         per-pair loop (which stores the first occurrence before
-        looking up the second) would have counted them.
+        looking up the second) would have counted them.  The batch
+        path never consults the L2: only kernel-batchable measures
+        reach it, and the facade gives those no persistent tier.
         """
         values: list[float | None] = [None] * len(pairs)
         pending: dict[tuple, list[int]] = {}
@@ -206,39 +213,13 @@ class CachedRunner(MeasureRunner):
             telemetry.count("cache.l1.hits", l1_hits)
         if l1_misses:
             telemetry.count("cache.l1.misses", l1_misses)
-        if self.l2 is not None and pending:
-            l2_hits = l2_misses = 0
-            for key in list(pending):
-                stored = self.l2.get(self.fingerprint, self.name,
-                                     *self._l2_columns(key))
-                if stored is None:
-                    l2_misses += 1
-                    continue
-                l2_hits += 1
-                with self._lock:
-                    self.l2_hits += 1
-                    self._table[key] = stored
-                    while len(self._table) > self.capacity:
-                        self._table.popitem(last=False)
-                for position in pending.pop(key):
-                    values[position] = stored
-            with self._lock:
-                self.l2_misses += l2_misses
-            if l2_hits:
-                telemetry.count("cache.l2.hits", l2_hits)
-                telemetry.count("cache.l1.stores", l2_hits)
-            if l2_misses:
-                telemetry.count("cache.l2.misses", l2_misses)
         return values, pending
 
     def bulk_store(self, entries) -> None:
-        """Store freshly computed ``(key, value)`` pairs in both tiers.
+        """Store freshly computed ``(key, value)`` pairs in the L1.
 
         The batch-side counterpart of the store half of :meth:`run`:
-        one ``cache.l1.stores`` per entry, and the same L2 ``put``
-        semantics (buffered in the parent, silently dropped in forked
-        read-only workers — whose entries the parent re-stores via
-        :meth:`merge`, the single L2 writer).
+        one ``cache.l1.stores`` per entry.
         """
         entries = list(entries)
         if not entries:
@@ -249,10 +230,6 @@ class CachedRunner(MeasureRunner):
             while len(self._table) > self.capacity:
                 self._table.popitem(last=False)
         telemetry.count("cache.l1.stores", len(entries))
-        if self.l2 is not None:
-            self.l2.put_many(
-                (self.fingerprint, self.name, *self._l2_columns(key), value)
-                for key, value in entries)
 
     def merge(self, entries, hits: int = 0, misses: int = 0,
               l2_hits: int = 0, l2_misses: int = 0) -> None:

@@ -10,6 +10,13 @@ strategy, so editing any ontology (or switching strategies) invalidates
 its entries without touching the others — stale rows are simply never
 read again and can be dropped with ``sst cache clear``.
 
+Scope: only measures without a batch kernel (the string, vector, text
+and tree measures, combined measures, retargeted IC sources and user
+runners) are persisted.  The nine kernel measures stay in the
+in-memory L1: at 20k concepts one sqlite read costs about 24 µs while
+the kernel recomputes a pair in about 7 µs, so their rows would cost
+more to read back than to recompute.
+
 Concurrency: one connection per process (re-opened lazily after a
 ``fork``), WAL journaling so parallel CLI runs can share the file, and
 buffered writes flushed in batches.  Forked process-strategy workers

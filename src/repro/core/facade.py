@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from repro.core import telemetry
 from repro.core.cache import CachedRunner
 from repro.core.diskcache import caching_disabled, corpus_fingerprint
+from repro.core.kernel import batchable
 from repro.core.shardedcache import ShardedDiskCache
 from repro.core.parallel import BatchSimilarityEngine
 from repro.core.registry import Measure, RunnerRegistry, TABLE1_MEASURES
@@ -239,10 +240,11 @@ class SOQASimPackToolkit:
         """The (cached) runner instance for a measure.
 
         Unless caching is disabled, the raw runner is wrapped in a
-        :class:`~repro.core.cache.CachedRunner` (with the persistent L2
-        tier attached when configured), so every facade service —
-        matrices, k-most retrievals, alignment — shares one memo per
-        measure.
+        :class:`~repro.core.cache.CachedRunner`, so every facade
+        service — matrices, k-most retrievals, alignment — shares one
+        memo per measure.  The persistent L2 tier (when configured) is
+        attached only to measures without a batch kernel: the kernel
+        recomputes a pair faster than sqlite reads it back.
         """
         measure_id = self.registry.resolve(measure)
         with self._lazy_lock:
@@ -250,7 +252,7 @@ class SOQASimPackToolkit:
             if runner is None:
                 runner = self.registry.create(measure_id, self.wrapper)
                 if self._cache_enabled:
-                    l2 = self.disk_cache
+                    l2 = None if batchable(runner) else self.disk_cache
                     runner = CachedRunner(
                         runner, capacity=self.cache_capacity, l2=l2,
                         fingerprint=self.fingerprint()
@@ -686,10 +688,8 @@ class SOQASimPackToolkit:
         chart = GroupedBarChart(title="Measure comparison",
                                 group_labels=group_labels)
         for measure in measures:
-            runner = self.runner(measure)
-            if not runner.is_normalized():
-                runner = self.runner(Measure.RESNIK_NORMALIZED)
-            chart.series[runner.name] = [
-                runner.run(first_q, second_q)
-                for first_q, second_q in qualified_pairs]
+            if not self.runner(measure).is_normalized():
+                measure = Measure.RESNIK_NORMALIZED
+            chart.series[self.runner(measure).name] = self.engine(
+                measure).score_pairs(qualified_pairs)
         return chart

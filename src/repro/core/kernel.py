@@ -534,9 +534,9 @@ def try_batch(runner: MeasureRunner, pairs: Sequence) -> list[float] | None:
 
     Returns ``None`` when it does not (the caller falls back to the
     per-pair loop).  A :class:`~repro.core.cache.CachedRunner` is
-    served through its bulk lookup/store path with per-pair-equivalent
-    counter bookkeeping, so warm runs skip the kernel per cached pair
-    and cold runs compute each distinct pair exactly once.
+    served through its bulk L1 lookup/store path with per-pair-
+    equivalent counter bookkeeping, so warm runs skip the kernel per
+    cached pair and cold runs compute each distinct pair exactly once.
     """
     inner = _unwrap(runner)
     if not batchable(inner):

@@ -300,7 +300,7 @@ def _score_chunk(payload: tuple) -> tuple[list[float], tuple | None,
     duration = time.perf_counter() - started
     telemetry.observe("parallel.task_seconds", duration)
     # The span is built by hand, detached from any (fork-copied)
-    # thread-local context, so it travels back as a clean subtree.
+    # span context, so it travels back as a clean subtree.
     span_record = telemetry.Span(
         name="parallel.chunk", duration=duration,
         labels={"chunk": chunk_index, "pairs": len(pairs),
@@ -423,7 +423,7 @@ class BatchSimilarityEngine:
             telemetry.observe("parallel.queue_wait_seconds",
                               started - submitted_at)
             # Worker-thread spans graft onto the engine span explicitly
-            # — the thread-local context stack is per-thread.
+            # — each thread starts with its own empty span stack.
             with telemetry.span("parallel.chunk", parent=parent_span,
                                 chunk=chunk_index, pairs=len(chunk)):
                 chunk_values = _score_chunk_pairs(runner, chunk, self.engine)

@@ -9,7 +9,7 @@ module is the observability layer everything else reports into:
   and **histograms** (fixed bucket boundaries, prometheus-style
   cumulative exposition), and
 * **span-based tracing**: nested, labelled, wall-clock-timed
-  :class:`Span` records managed through a thread-local context stack,
+  :class:`Span` records managed through a per-context span stack,
   with explicit snapshot/merge so forked process workers can ship
   their metric deltas and span trees back to the parent.
 
@@ -28,6 +28,7 @@ and ``sst metrics [--format text|json|prometheus] <subcommand>``; see
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import threading
@@ -507,29 +508,31 @@ _NOOP_SPAN = _NoopSpanContext()
 
 
 class Tracer:
-    """Collects span trees via a thread-local context stack.
+    """Collects span trees via a per-context span stack.
 
-    Spans opened on a thread nest under that thread's innermost open
-    span.  A span with no parent becomes a *root* and is appended to
-    :attr:`roots` when it closes; the parallel engine passes an
-    explicit ``parent`` so worker-thread spans graft into the main
-    thread's tree instead of dangling as extra roots.
+    Spans nest under the innermost span open in the calling
+    :mod:`contextvars` context.  Every thread starts with an empty one,
+    and every asyncio task runs in its own copy, so requests served
+    concurrently on one event loop stay separate trees even when they
+    finish out of order.  A span with no parent becomes a *root* and
+    is appended to :attr:`roots` when it closes; the parallel engine
+    passes an explicit ``parent`` so worker-thread spans graft into
+    the main thread's tree instead of dangling as extra roots.
     """
 
     def __init__(self):
-        self._local = threading.local()
         self._lock = threading.Lock()
         self.roots: list[Span] = []
+        self._new_stack()
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def _new_stack(self) -> None:
+        # The stack is an immutable tuple: a task's context copy must
+        # never share a mutable list with its creator.
+        self._stack = contextvars.ContextVar("sst_span_stack", default=())
 
     def current(self) -> Span | None:
-        """The innermost open span of the calling thread, if any."""
-        stack = self._stack()
+        """The innermost open span of the calling context, if any."""
+        stack = self._stack.get()
         return stack[-1] if stack else None
 
     def span(self, name: str, /, parent: Span | None = None,
@@ -539,12 +542,12 @@ class Tracer:
         return _SpanContext(self, Span(name=name, labels=labels), parent)
 
     def _push(self, span_record: Span) -> None:
-        self._stack().append(span_record)
+        self._stack.set(self._stack.get() + (span_record,))
 
     def _pop(self, span_record: Span) -> None:
-        stack = self._stack()
+        stack = self._stack.get()
         if stack and stack[-1] is span_record:
-            stack.pop()
+            self._stack.set(stack[:-1])
 
     def _attach(self, span_record: Span, parent: Span | None) -> None:
         if parent is not None:
@@ -574,7 +577,7 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.roots = []
-        self._local = threading.local()
+        self._new_stack()
 
 
 def render_span_tree(roots: list[Span], *, min_fraction: float = 0.0) -> str:
@@ -656,7 +659,7 @@ def span(name: str, /, parent: Span | None = None, **labels):
 
 
 def current_span() -> Span | None:
-    """The calling thread's innermost open span (None when disabled)."""
+    """The calling context's innermost open span (None when disabled)."""
     if not _ENABLED:
         return None
     return _TRACER.current()

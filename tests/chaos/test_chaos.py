@@ -23,6 +23,10 @@ MATRIX_ARGS = ["matrix", "--from-ontology", "COURSES", "--limit", "8"]
 #: The same matrix forced through the supervised process strategy.
 PARALLEL = ["--workers", "2", "--strategy", "process"]
 
+#: The matrix under a measure without a batch kernel: only those are
+#: persisted in the L2, so the cache-corruption scenarios need one.
+L2_MATRIX_ARGS = MATRIX_ARGS + ["-m", "TFIDF"]
+
 
 @pytest.fixture(autouse=True)
 def _own_cache_dir(tmp_path, monkeypatch):
@@ -36,6 +40,16 @@ def _own_cache_dir(tmp_path, monkeypatch):
 def baseline(capsys):
     """Stdout of the clean serial run every chaos run must reproduce."""
     assert main(MATRIX_ARGS) == 0
+    output = capsys.readouterr().out
+    assert output.strip()
+    return output
+
+
+@pytest.fixture
+def l2_baseline(capsys):
+    """Stdout of the clean serial L2-backed run (it also builds the
+    healthy sqlite file the corruption faults scribble over)."""
+    assert main(L2_MATRIX_ARGS) == 0
     output = capsys.readouterr().out
     assert output.strip()
     return output
@@ -80,24 +94,24 @@ class TestTimeoutChaos:
 
 
 class TestCacheCorruptionChaos:
-    def test_corrupt_l2_is_quarantined_mid_command(self, baseline, capsys,
-                                                   _own_cache_dir):
+    def test_corrupt_l2_is_quarantined_mid_command(self, l2_baseline,
+                                                   capsys, _own_cache_dir):
         # The baseline run built a healthy sqlite file; the fault
         # scribbles over it at the next connect.
-        code = main(["--inject-faults", "cache.corrupt=1"] + MATRIX_ARGS)
+        code = main(["--inject-faults", "cache.corrupt=1"] + L2_MATRIX_ARGS)
         assert code == 0
-        assert capsys.readouterr().out == baseline
+        assert capsys.readouterr().out == l2_baseline
         assert counter("cache.l2.quarantined") == 1
         assert counter("faults.injected.cache.corrupt") == 1
         evidence = list(_own_cache_dir.glob("*.corrupt-*"))
         assert len(evidence) == 1
 
-    def test_everything_at_once(self, baseline, capsys, _own_cache_dir):
+    def test_everything_at_once(self, l2_baseline, capsys, _own_cache_dir):
         spec = "worker.crash=99,cache.corrupt=1,loader.io=1"
         code = main(["--inject-faults", spec]
-                    + MATRIX_ARGS + PARALLEL + ["--retry-budget", "0"])
+                    + L2_MATRIX_ARGS + PARALLEL + ["--retry-budget", "0"])
         assert code == 0
-        assert capsys.readouterr().out == baseline
+        assert capsys.readouterr().out == l2_baseline
         assert counter("resilience.degraded") >= 1
         assert counter("cache.l2.quarantined") == 1
         assert counter("resilience.retries") == 1  # loader retried once

@@ -262,7 +262,7 @@ class TestCachedRunnerL2:
 
 class TestFacadeWiring:
     def test_facade_runners_are_cached(self, mini_sst):
-        runner = mini_sst.runner(Measure.SHORTEST_PATH)
+        runner = mini_sst.runner(Measure.TFIDF)
         assert isinstance(runner, CachedRunner)
         assert runner.l2 is not None  # SST_CACHE_DIR is set in tests
 
@@ -282,17 +282,17 @@ class TestFacadeWiring:
         directory = tmp_path / "shared"
         cold = SOQASimPackToolkit(mini_soqa, cache_dir=directory)
         value = cold.get_similarity("Professor", "univ", "Student", "univ",
-                                    Measure.SHORTEST_PATH)
+                                    Measure.TFIDF)
         cold.flush_caches()
         warm = SOQASimPackToolkit(mini_soqa, cache_dir=directory)
         assert warm.get_similarity("Professor", "univ", "Student", "univ",
-                                   Measure.SHORTEST_PATH) == value
-        runner = warm.runner(Measure.SHORTEST_PATH)
+                                   Measure.TFIDF) == value
+        runner = warm.runner(Measure.TFIDF)
         assert runner.l2_hits == 1
 
     def test_cache_statistics_shape(self, mini_sst):
         mini_sst.get_similarity("Professor", "univ", "Student", "univ",
-                                Measure.SHORTEST_PATH)
+                                Measure.TFIDF)
         statistics = mini_sst.cache_statistics()
         assert statistics["enabled"] is True
         assert statistics["l1"]["misses"] >= 1

@@ -8,8 +8,10 @@ nesting and rendering, all three exposition formats, and the
 
 from __future__ import annotations
 
+import asyncio
 import json
 import pickle
+import threading
 
 import pytest
 
@@ -250,6 +252,53 @@ class TestSpans:
                 assert telemetry.current_span() is inner
             assert telemetry.current_span() is outer
         assert telemetry.current_span() is None
+
+    def test_interleaved_tasks_stay_sibling_roots(self):
+        # Two requests on one event loop, each holding its span open
+        # across an await, finishing in the order they did *not* start:
+        # A opens, B opens, A closes, B closes.
+        async def request(name, opened, release, done):
+            with telemetry.span("server.request", request_id=name):
+                opened.set()
+                await release.wait()
+                with telemetry.span("service.work"):
+                    pass
+            done.set()
+
+        async def interleave():
+            events = {name: [asyncio.Event() for _ in range(3)]
+                      for name in "ab"}
+            first = asyncio.create_task(request("a", *events["a"]))
+            await events["a"][0].wait()
+            second = asyncio.create_task(request("b", *events["b"]))
+            await events["b"][0].wait()
+            events["a"][1].set()
+            await events["a"][2].wait()
+            events["b"][1].set()
+            await asyncio.gather(first, second)
+            return telemetry.current_span()
+
+        assert asyncio.run(interleave()) is None
+        roots = telemetry.get_tracer().drain()
+        assert [root.labels["request_id"] for root in roots] == ["a", "b"]
+        for root in roots:
+            assert [child.name for child in root.children] \
+                == ["service.work"]
+        # Nothing was left open on this thread: the next span is a root.
+        assert telemetry.current_span() is None
+        with telemetry.span("next"):
+            pass
+        assert [root.name for root in telemetry.get_tracer().drain()] \
+            == ["next"]
+
+    def test_threads_do_not_share_a_stack(self):
+        seen = []
+        with telemetry.span("main"):
+            worker = threading.Thread(
+                target=lambda: seen.append(telemetry.current_span()))
+            worker.start()
+            worker.join()
+        assert seen == [None]
 
     def test_explicit_parent_grafts_detached_spans(self):
         tracer = Tracer()

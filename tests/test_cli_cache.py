@@ -54,7 +54,7 @@ class TestCacheSubcommand:
 class TestWarmStart:
     def test_second_matrix_run_hits_disk(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "matrix",
-                "univ:Person", "univ:Student", "univ:Course"]
+                "univ:Person", "univ:Student", "univ:Course", "-m", "TFIDF"]
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert "0.0%" in cold.err  # everything computed cold
@@ -82,7 +82,7 @@ class TestWarmStart:
 
     def test_ksim_reports_cache(self, capsys, owl_file, cache_dir):
         argv = ["--ontology-file", owl_file, "ksim", "univ", "Person",
-                "-k", "2"]
+                "-k", "2", "-m", "TFIDF"]
         assert main(argv) == 0
         assert "disk cache" in capsys.readouterr().err
 

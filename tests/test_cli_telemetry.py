@@ -22,6 +22,10 @@ MATRIX_PAIRS = 6
 
 STRATEGIES = ["serial", "thread", "process"]
 
+#: The matrix under a measure without a batch kernel: only those are
+#: persisted in the L2, so the L2 counter tests need one.
+L2_MATRIX_ARGS = MATRIX_ARGS + ["-m", "TFIDF"]
+
 
 @pytest.fixture
 def owl_file(tmp_path) -> str:
@@ -133,7 +137,7 @@ class TestCacheReport:
     """The telemetry-backed ``disk cache: ...`` stderr line."""
 
     def test_cold_and_warm_hit_rates(self, capsys, owl_file, cache_dir):
-        argv = _argv(owl_file, *MATRIX_ARGS)
+        argv = _argv(owl_file, *L2_MATRIX_ARGS)
         assert main(argv) == 0
         cold = capsys.readouterr().err
         assert f"disk cache: 0/{MATRIX_PAIRS} hits (0.0%)" in cold
@@ -176,14 +180,14 @@ class TestKillSwitchDeterminism:
 class TestCrossStrategyParity:
     def _metrics(self, capsys, owl_file, strategy: str) -> dict:
         assert main(_argv(owl_file, "metrics", "--format", "json",
-                          *MATRIX_ARGS, "--strategy", strategy,
+                          *L2_MATRIX_ARGS, "--strategy", strategy,
                           "--workers", "2")) == 0
         return json.loads(capsys.readouterr().out)
 
     def test_warm_l2_hits_identical_across_strategies(self, capsys,
                                                       owl_file, cache_dir):
         # Warm the persistent tier once, serially.
-        assert main(_argv(owl_file, *MATRIX_ARGS)) == 0
+        assert main(_argv(owl_file, *L2_MATRIX_ARGS)) == 0
         capsys.readouterr()
         reports = {strategy: self._metrics(capsys, owl_file, strategy)
                    for strategy in STRATEGIES}
